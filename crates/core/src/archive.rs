@@ -380,20 +380,29 @@ pub struct ArchiveWriter<W: Write> {
 }
 
 impl<W: Write> ArchiveWriter<W> {
-    /// Writes the header, compressed DCG and name table, returning a
-    /// writer ready to append function frames.
+    /// Writes the header, the DCG (LZW-compressed here) and the name
+    /// table, returning a writer ready to append function frames.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the sink.
     pub fn new(
-        mut sink: W,
+        sink: W,
         dcg: &Dcg,
         names: &HashMap<FuncId, String>,
     ) -> Result<ArchiveWriter<W>, ArchiveError> {
         let dcg_words = dcg.to_words();
         let dcg_bytes: Vec<u8> = dcg_words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let dcg_comp = lzw::compress(&dcg_bytes);
+        ArchiveWriter::with_dcg_lzw(sink, &lzw::compress(&dcg_bytes), names)
+    }
+
+    /// Like [`ArchiveWriter::new`] for a DCG already LZW-compressed (a
+    /// [`CompactedTwpp::dcg_lzw`]): writes `dcg_comp` as it is.
+    fn with_dcg_lzw(
+        mut sink: W,
+        dcg_comp: &[u8],
+        names: &HashMap<FuncId, String>,
+    ) -> Result<ArchiveWriter<W>, ArchiveError> {
         let name_blob = encode_names_v3(names);
 
         let mut header = Vec::with_capacity(FIXED_HEADER_LEN);
@@ -405,10 +414,10 @@ impl<W: Write> ArchiveWriter<W> {
         push_u32(&mut header, hcrc);
         sink.write_all(&header)?;
 
-        sink.write_all(&dcg_comp)?;
+        sink.write_all(dcg_comp)?;
         let pad = dcg_comp.len().div_ceil(4) * 4 - dcg_comp.len();
         sink.write_all(&[0u8; 3][..pad])?;
-        sink.write_all(&crc32(&dcg_comp).to_le_bytes())?;
+        sink.write_all(&crc32(dcg_comp).to_le_bytes())?;
 
         sink.write_all(&name_blob)?;
         sink.write_all(&crc32(&name_blob).to_le_bytes())?;
@@ -672,14 +681,7 @@ impl TwppArchive {
         names: &HashMap<FuncId, String>,
         threads: usize,
     ) -> TwppArchive {
-        let mut w = ArchiveWriter::new(Vec::new(), &c.dcg, names)
-            .expect("writing to an in-memory buffer cannot fail");
-        w.add_functions(&c.functions, threads)
-            .expect("pipeline-produced blocks always encode");
-        let bytes = w
-            .finish()
-            .expect("writing to an in-memory buffer cannot fail");
-        TwppArchive::from_bytes(bytes).expect("freshly encoded archive must parse")
+        TwppArchive::from_compacted_governed(c, names, threads, &[])
     }
 
     /// Encodes the output of a possibly degraded governed compaction run:
@@ -714,7 +716,8 @@ impl TwppArchive {
     /// [`TwppArchive::from_compacted_governed_obs`] with an explicit
     /// timestamp-set [`Codec`]. Every other constructor delegates here
     /// with [`Codec::Legacy`], so the default output stays byte-identical
-    /// to pre-codec archives.
+    /// to pre-codec archives. The DCG region is `c`'s carried
+    /// [`CompactedTwpp::dcg_lzw`]; nothing is compressed here.
     pub fn from_compacted_codec(
         c: &CompactedTwpp,
         names: &HashMap<FuncId, String>,
@@ -724,7 +727,7 @@ impl TwppArchive {
         codec: Codec,
     ) -> TwppArchive {
         let _s = obs.span("archive_encode");
-        let mut w = ArchiveWriter::new(Vec::new(), &c.dcg, names)
+        let mut w = ArchiveWriter::with_dcg_lzw(Vec::new(), c.dcg_lzw(), names)
             .expect("writing to an in-memory buffer cannot fail")
             .with_codec(codec);
         w.add_functions_observed(&c.functions, threads, obs)
@@ -1029,11 +1032,17 @@ impl TwppArchive {
     ///
     /// Returns a decoding error for corrupt archives.
     pub fn read_dcg(&self) -> Result<Dcg, ArchiveError> {
-        let comp = &self.bytes[self.dcg_start..self.dcg_start + self.dcg_comp_len];
-        decode_dcg(comp)
+        decode_dcg(self.dcg_region())
     }
 
-    /// Fully decodes the archive back into a [`CompactedTwpp`].
+    /// The archive's LZW-compressed DCG region.
+    fn dcg_region(&self) -> &[u8] {
+        &self.bytes[self.dcg_start..self.dcg_start + self.dcg_comp_len]
+    }
+
+    /// Fully decodes the archive back into a [`CompactedTwpp`], which
+    /// carries this archive's DCG region as its
+    /// [`CompactedTwpp::dcg_lzw`].
     ///
     /// # Errors
     ///
@@ -1045,7 +1054,11 @@ impl TwppArchive {
             let r = self.read_function(e.func)?;
             functions.push(r.into_block());
         }
-        Ok(CompactedTwpp { dcg, functions })
+        Ok(CompactedTwpp {
+            dcg,
+            functions,
+            dcg_lzw: self.dcg_region().to_vec(),
+        })
     }
 
     /// Writes the archive to a file with the default durability
@@ -1248,10 +1261,7 @@ pub fn encode_v2_named(
     c: &CompactedTwpp,
     names: &HashMap<FuncId, String>,
 ) -> Result<Vec<u8>, ArchiveError> {
-    // Compress the DCG.
-    let dcg_words = c.dcg.to_words();
-    let dcg_bytes: Vec<u8> = dcg_words.iter().flat_map(|w| w.to_le_bytes()).collect();
-    let dcg_comp = lzw::compress(&dcg_bytes);
+    let dcg_comp = c.dcg_lzw();
     let dcg_padded = dcg_comp.len().div_ceil(4) * 4;
 
     // Encode function regions.
@@ -1305,7 +1315,7 @@ pub fn encode_v2_named(
         push_u32(&mut bytes, e.offset);
         push_u32(&mut bytes, e.byte_len);
     }
-    bytes.extend_from_slice(&dcg_comp);
+    bytes.extend_from_slice(dcg_comp);
     bytes.resize(bytes.len() + (dcg_padded - dcg_comp.len()), 0);
     bytes.extend_from_slice(&name_blob);
     for words in &regions {

@@ -1,10 +1,21 @@
 //! LZW compression (Welch's variation of the Ziv–Lempel adaptive dictionary
 //! scheme), used by the paper to compress the dynamic call graph.
 //!
-//! Variable-width codes from 9 up to [`MAX_CODE_BITS`] bits; when the
+//! Variable-width codes from 9 up to [`MAX_CODE_BITS`] bits, packed least
+//! significant bit first with the last byte zero-padded; when the
 //! dictionary fills, a clear code resets it, so arbitrarily long inputs
 //! stay adaptive. The format is self-contained: the decoder rebuilds the
 //! dictionary from the code stream alone.
+//!
+//! The encoder keeps its dictionary in a fixed-capacity open-addressing
+//! table: one flat `u64` array whose slots pack the `prefix << 8 | byte`
+//! key above the 16-bit code, found by a multiplicative hash and linear
+//! probing. A dictionary cycle defines fewer than 2^16 entries, so the
+//! largest table (2^17 slots, 1 MiB) stays at most half full; shorter
+//! inputs get a table sized to them. The clear code zeroes it. Both
+//! directions move bits through a 64-bit accumulator: the writer spills
+//! whole 32-bit words and the reader refills bytes only when it runs low,
+//! so a code costs a shift and a mask rather than a loop over its bits.
 
 #![deny(clippy::unwrap_used)]
 
@@ -52,98 +63,178 @@ impl fmt::Display for LzwError {
 
 impl Error for LzwError {}
 
+/// Slots in the largest encoder dictionary table: twice the most entries
+/// one dictionary cycle can define, so the table is never more than half
+/// full and a probe ends after a few slots.
+const MAX_SLOTS: usize = 2 << MAX_CODE_BITS;
+
+/// Slots in the smallest encoder dictionary table.
+const MIN_SLOTS: usize = 64;
+
+/// The encoder's dictionary: `(prefix code, next byte) -> code` in a
+/// fixed-capacity open-addressing table with linear probing. A slot packs
+/// the `prefix << 8 | byte` key above the 16-bit code; 0 marks an empty
+/// slot (no entry has code 0, entries start at [`FIRST_CODE`]).
+struct Dictionary {
+    slots: Vec<u64>,
+    /// `32 - log2(slots.len())`: the multiplicative hash keeps its top bits.
+    shift: u32,
+}
+
+impl Dictionary {
+    /// A table sized for `input_len` bytes: an input defines at most one
+    /// entry per byte, so short inputs get a short table.
+    fn for_input(input_len: usize) -> Dictionary {
+        let slots = (2 * input_len)
+            .next_power_of_two()
+            .clamp(MIN_SLOTS, MAX_SLOTS);
+        Dictionary {
+            slots: vec![0; slots],
+            shift: 32 - slots.trailing_zeros(),
+        }
+    }
+
+    /// The code of `(prefix, byte)`, or `None` after defining it as `code`.
+    #[inline]
+    fn find_or_insert(&mut self, prefix: u32, byte: u8, code: u32) -> Option<u32> {
+        let key = (prefix << 8) | u32::from(byte);
+        let mask = self.slots.len() - 1;
+        let mut i = (key.wrapping_mul(0x9E37_79B1) >> self.shift) as usize;
+        loop {
+            let slot = self.slots[i];
+            if slot == 0 {
+                self.slots[i] = (u64::from(key) << 16) | u64::from(code);
+                return None;
+            }
+            if (slot >> 16) as u32 == key {
+                return Some((slot & 0xFFFF) as u32);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(0);
+    }
+}
+
+/// Packs codes least-significant bit first through a 64-bit accumulator,
+/// spilling whole 32-bit words to the output.
 struct BitWriter {
     bytes: Vec<u8>,
-    bit_pos: u64,
+    acc: u64,
+    /// Bits pending in `acc` (always < 32 between writes).
+    pending: u32,
 }
 
 impl BitWriter {
     fn new() -> BitWriter {
         BitWriter {
             bytes: Vec::new(),
-            bit_pos: 0,
+            acc: 0,
+            pending: 0,
         }
     }
 
+    #[inline]
     fn write(&mut self, value: u32, bits: u32) {
-        for i in 0..bits {
-            let bit = (value >> i) & 1;
-            let byte_idx = (self.bit_pos / 8) as usize;
-            if byte_idx == self.bytes.len() {
-                self.bytes.push(0);
-            }
-            if bit != 0 {
-                self.bytes[byte_idx] |= 1 << (self.bit_pos % 8);
-            }
-            self.bit_pos += 1;
+        debug_assert!(value < 1 << bits);
+        self.acc |= u64::from(value) << self.pending;
+        self.pending += bits;
+        if self.pending >= 32 {
+            self.bytes.extend_from_slice(&(self.acc as u32).to_le_bytes());
+            self.acc >>= 32;
+            self.pending -= 32;
         }
+    }
+
+    /// Flushes the pending bits, zero-padding the last byte.
+    fn finish(mut self) -> Vec<u8> {
+        let tail = self.pending.div_ceil(8) as usize;
+        self.bytes.extend_from_slice(&self.acc.to_le_bytes()[..tail]);
+        self.bytes
     }
 }
 
+/// Reads codes least-significant bit first, refilling a 64-bit
+/// accumulator a byte at a time only when it runs low.
 struct BitReader<'a> {
     bytes: &'a [u8],
-    bit_pos: usize,
+    /// Next byte to load into `acc`.
+    pos: usize,
+    acc: u64,
+    /// Bits loaded in `acc` and not yet read.
+    loaded: u32,
 }
 
 impl<'a> BitReader<'a> {
     fn new(bytes: &'a [u8]) -> BitReader<'a> {
-        BitReader { bytes, bit_pos: 0 }
+        BitReader {
+            bytes,
+            pos: 0,
+            acc: 0,
+            loaded: 0,
+        }
     }
 
+    /// The next `bits` bits, or `None` (consuming nothing) if fewer remain.
+    #[inline]
     fn read(&mut self, bits: u32) -> Option<u32> {
-        if self.bit_pos + bits as usize > self.bytes.len() * 8 {
-            return None;
+        if self.loaded < bits {
+            while self.loaded <= 56 {
+                let Some(&b) = self.bytes.get(self.pos) else {
+                    break;
+                };
+                self.acc |= u64::from(b) << self.loaded;
+                self.loaded += 8;
+                self.pos += 1;
+            }
+            if self.loaded < bits {
+                return None;
+            }
         }
-        let mut value = 0u32;
-        for i in 0..bits {
-            let byte = self.bytes[self.bit_pos / 8];
-            let bit = (byte >> (self.bit_pos % 8)) & 1;
-            value |= u32::from(bit) << i;
-            self.bit_pos += 1;
-        }
+        let value = (self.acc & ((1 << bits) - 1)) as u32;
+        self.acc >>= bits;
+        self.loaded -= bits;
         Some(value)
     }
 
     /// Remaining bits, all of which must be padding zeroes at end of stream.
     fn remaining_bits(&self) -> usize {
-        self.bytes.len() * 8 - self.bit_pos
+        (self.bytes.len() - self.pos) * 8 + self.loaded as usize
     }
 }
 
 /// Compresses `input` with LZW.
 pub fn compress(input: &[u8]) -> Vec<u8> {
+    let Some((&first, rest)) = input.split_first() else {
+        return Vec::new();
+    };
     let mut writer = BitWriter::new();
-    if input.is_empty() {
-        return writer.bytes;
-    }
-    // Dictionary: maps (prefix code, next byte) -> code. A hash map keyed
-    // on the pair keeps insertion O(1).
-    let mut dict: std::collections::HashMap<(u32, u8), u32> = std::collections::HashMap::new();
+    let mut dict = Dictionary::for_input(input.len());
     let mut next_code = FIRST_CODE;
     let mut code_bits = 9u32;
-    let mut current = u32::from(input[0]);
-    for &byte in &input[1..] {
-        match dict.get(&(current, byte)) {
-            Some(&code) => current = code,
-            None => {
-                writer.write(current, code_bits);
-                dict.insert((current, byte), next_code);
-                next_code += 1;
-                if next_code > (1 << code_bits) && code_bits < MAX_CODE_BITS {
-                    code_bits += 1;
-                }
-                if next_code == (1 << MAX_CODE_BITS) {
-                    writer.write(CLEAR_CODE, code_bits);
-                    dict.clear();
-                    next_code = FIRST_CODE;
-                    code_bits = 9;
-                }
-                current = u32::from(byte);
-            }
+    let mut current = u32::from(first);
+    for &byte in rest {
+        if let Some(code) = dict.find_or_insert(current, byte, next_code) {
+            current = code;
+            continue;
         }
+        writer.write(current, code_bits);
+        next_code += 1;
+        if next_code > (1 << code_bits) && code_bits < MAX_CODE_BITS {
+            code_bits += 1;
+        }
+        if next_code == (1 << MAX_CODE_BITS) {
+            writer.write(CLEAR_CODE, code_bits);
+            dict.clear();
+            next_code = FIRST_CODE;
+            code_bits = 9;
+        }
+        current = u32::from(byte);
     }
     writer.write(current, code_bits);
-    writer.bytes
+    writer.finish()
 }
 
 /// Decompresses an LZW stream produced by [`compress`], capping the output
@@ -157,6 +248,15 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzwError> {
     decompress_bounded(input, DEFAULT_MAX_OUTPUT)
 }
 
+/// One decoder dictionary entry: the code's string is the prefix code's
+/// string followed by `byte`, and starts with `first`.
+#[derive(Copy, Clone)]
+struct Entry {
+    prefix: u32,
+    byte: u8,
+    first: u8,
+}
+
 /// Decompresses an LZW stream with a caller-supplied output cap — the
 /// bounded-decoding entry point for untrusted input.
 ///
@@ -168,44 +268,32 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzwError> {
 pub fn decompress_bounded(input: &[u8], max_output: usize) -> Result<Vec<u8>, LzwError> {
     let mut reader = BitReader::new(input);
     let mut output = Vec::new();
-    if input.is_empty() {
-        return Ok(output);
-    }
-    // Dictionary: code -> (prefix code or NONE, final byte). Entries 0..256
-    // are implicit single bytes.
-    const NONE: u32 = u32::MAX;
-    let mut dict: Vec<(u32, u8)> = Vec::new();
+    // Entry `code - FIRST_CODE` defines `code`; codes below 256 are
+    // implicit single bytes.
+    let mut dict: Vec<Entry> = Vec::new();
     let mut code_bits = 9u32;
     let mut prev: Option<u32> = None;
 
-    let first_byte_of = |dict: &[(u32, u8)], mut code: u32| -> Result<u8, LzwError> {
-        loop {
-            if code < 256 {
-                return Ok(code as u8);
-            }
-            let idx = (code - FIRST_CODE) as usize;
-            let &(prefix, _) = dict.get(idx).ok_or(LzwError::BadCode(code))?;
-            if prefix == NONE {
-                return Err(LzwError::BadCode(code));
-            }
-            code = prefix;
+    let entry = |dict: &[Entry], code: u32| -> Result<Entry, LzwError> {
+        dict.get(code.wrapping_sub(FIRST_CODE) as usize)
+            .copied()
+            .ok_or(LzwError::BadCode(code))
+    };
+    let first_byte_of = |dict: &[Entry], code: u32| -> Result<u8, LzwError> {
+        if code < 256 {
+            Ok(code as u8)
+        } else {
+            Ok(entry(dict, code)?.first)
         }
     };
-    let expand = |dict: &[(u32, u8)], mut code: u32, out: &mut Vec<u8>| -> Result<(), LzwError> {
+    let expand = |dict: &[Entry], mut code: u32, out: &mut Vec<u8>| -> Result<(), LzwError> {
         let start = out.len();
-        loop {
-            if code < 256 {
-                out.push(code as u8);
-                break;
-            }
-            let idx = (code - FIRST_CODE) as usize;
-            let &(prefix, byte) = dict.get(idx).ok_or(LzwError::BadCode(code))?;
-            out.push(byte);
-            if prefix == NONE {
-                return Err(LzwError::BadCode(code));
-            }
-            code = prefix;
+        while code >= FIRST_CODE {
+            let e = entry(dict, code)?;
+            out.push(e.byte);
+            code = e.prefix;
         }
+        out.push(code as u8);
         out[start..].reverse();
         Ok(())
     };
@@ -231,26 +319,28 @@ pub fn decompress_bounded(input: &[u8], max_output: usize) -> Result<Vec<u8>, Lz
                 output.push(code as u8);
             }
             Some(p) => {
-                if code < next_code {
+                let first = if code < next_code {
                     // Known code: emit it, then record p + first(code).
                     let first = first_byte_of(&dict, code)?;
                     expand(&dict, code, &mut output)?;
-                    dict.push((p, first));
+                    first
                 } else if code == next_code {
-                    // The classic KwKwK case.
-                    let first = first_byte_of(&dict, p)?;
-                    dict.push((p, first));
-                    expand(&dict, code, &mut output)?;
+                    // The classic KwKwK case: the new entry is p + first(p).
+                    first_byte_of(&dict, p)?
                 } else {
                     return Err(LzwError::BadCode(code));
+                };
+                dict.push(Entry {
+                    prefix: p,
+                    byte: first,
+                    first: first_byte_of(&dict, p)?,
+                });
+                if code == next_code {
+                    expand(&dict, code, &mut output)?;
                 }
                 let defined = FIRST_CODE + dict.len() as u32;
                 if defined + 1 > (1 << code_bits) && code_bits < MAX_CODE_BITS {
                     code_bits += 1;
-                }
-                if defined == (1 << MAX_CODE_BITS) {
-                    // Encoder emitted a clear code right after this point.
-                    // It is read on the next iteration.
                 }
             }
         }

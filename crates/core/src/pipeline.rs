@@ -71,13 +71,25 @@ impl FunctionBlock {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CompactedTwpp {
     /// The dynamic call graph (trace indices refer into the function
-    /// blocks' trace lists).
+    /// blocks' trace lists). The archive encoders write
+    /// [`CompactedTwpp::dcg_lzw`], not this graph, so it is read-only
+    /// once compacted.
     pub dcg: Dcg,
     /// Per-function blocks, most-called first.
     pub functions: Vec<FunctionBlock>,
+    /// The LZW-compressed serialized `dcg`: the pipeline's stage 5 output
+    /// (or an archive's own DCG region), carried so that encoding an
+    /// archive does not compress the graph again. A pure function of
+    /// `dcg`.
+    pub(crate) dcg_lzw: Vec<u8>,
 }
 
 impl CompactedTwpp {
+    /// The LZW-compressed serialized DCG, exactly as an archive stores it.
+    pub fn dcg_lzw(&self) -> &[u8] {
+        &self.dcg_lzw
+    }
+
     /// The block of `func`, if the function was ever called.
     pub fn function(&self, func: FuncId) -> Option<&FunctionBlock> {
         self.functions.iter().find(|fb| fb.func == func)
@@ -318,11 +330,14 @@ pub struct StageTimings {
     /// Stages 3+4: DBB dictionaries and TWPP inversion (the parallel
     /// per-function stage).
     pub function_stage_nanos: u64,
-    /// Stage 5: LZW compression of the serialized DCG.
+    /// Stage 5: LZW compression of the serialized DCG — the only LZW pass
+    /// of a compaction. The archive encoders write its output as it is.
     pub dcg_compress_nanos: u64,
-    /// Archive frame encoding ([`ArchiveWriter`](crate::archive::ArchiveWriter)
-    /// commit). The pipeline itself leaves this 0; callers that encode an
-    /// archive (the CLI, the bench harness) fill it in so
+    /// Archive encoding: frame encoding plus writing the header, the
+    /// carried compressed DCG and the footer
+    /// ([`TwppArchive::from_compacted_codec`](crate::archive::TwppArchive::from_compacted_codec)).
+    /// It holds no LZW pass. The pipeline itself leaves this 0; callers
+    /// that encode an archive (the CLI, the bench harness) fill it in so
     /// [`StageTimings::total_nanos`] stops undercounting governed runs.
     pub archive_encode_nanos: u64,
 }
@@ -825,21 +840,23 @@ fn compact_partitioned_inner(
     let function_stage_nanos = elapsed_nanos(started);
     budget.check()?;
 
-    // Stage 5: DCG compression.
+    // Stage 5: DCG compression — the run's only LZW pass; the archive
+    // encoders write these bytes as they are.
     let started = Instant::now();
-    let (dcg_bytes, dcg_compressed_bytes) = {
+    let (dcg_raw_bytes, dcg_lzw) = {
         let _s = obs.span("dcg_compress");
         let dcg_words = part.dcg.to_words();
         let dcg_bytes: Vec<u8> = dcg_words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let compressed = lzw::compressed_size(&dcg_bytes);
-        (dcg_bytes, compressed)
+        (dcg_bytes.len(), lzw::compress(&dcg_bytes))
     };
     let dcg_compress_nanos = elapsed_nanos(started);
-    budget.charge_bytes(dcg_bytes.len() as u64)?;
+    budget.charge_bytes(dcg_raw_bytes as u64)?;
 
+    let dcg_compressed_bytes = dcg_lzw.len();
     let compacted = CompactedTwpp {
         dcg: part.dcg,
         functions,
+        dcg_lzw,
     };
     let stats = PipelineStats {
         raw,
@@ -848,7 +865,7 @@ fn compact_partitioned_inner(
         after_dict_bytes,
         ctwpp_trace_bytes: compacted.trace_bytes(),
         dict_bytes: compacted.dict_bytes(),
-        dcg_raw_bytes: dcg_bytes.len(),
+        dcg_raw_bytes,
         dcg_compressed_bytes,
         redundancy,
         timings: StageTimings {

@@ -7,6 +7,10 @@
 //! the adversarial corners directly — empty input, single-symbol runs,
 //! the dictionary-reset boundary, max-code overflow, and series entries
 //! straddling the `i32::MAX` sign-bit framing boundary.
+//!
+//! The LZW codec is also pinned against [`reference`], the straightforward
+//! hash-map, bit-at-a-time codec it replaced: compressed bytes and decode
+//! results must match it exactly, so archives never change.
 
 use proptest::prelude::*;
 
@@ -61,6 +65,230 @@ fn lzw_max_code_overflow_resets_cleanly_on_low_entropy_input() {
     assert_eq!(lzw::decompress(&c).unwrap(), data);
 }
 
+/// The reference LZW codec: a `HashMap` dictionary and one bit at a time,
+/// written for clarity rather than speed. [`twpp::lzw`] must agree with it
+/// byte for byte when compressing and result for result when decoding.
+mod reference {
+    use std::collections::HashMap;
+
+    use twpp::lzw::{LzwError, MAX_CODE_BITS};
+
+    const CLEAR_CODE: u32 = 256;
+    const FIRST_CODE: u32 = 257;
+
+    struct BitWriter {
+        bytes: Vec<u8>,
+        bit_pos: u64,
+    }
+
+    impl BitWriter {
+        fn write(&mut self, value: u32, bits: u32) {
+            for i in 0..bits {
+                let bit = (value >> i) & 1;
+                let byte_idx = (self.bit_pos / 8) as usize;
+                if byte_idx == self.bytes.len() {
+                    self.bytes.push(0);
+                }
+                if bit != 0 {
+                    self.bytes[byte_idx] |= 1 << (self.bit_pos % 8);
+                }
+                self.bit_pos += 1;
+            }
+        }
+    }
+
+    struct BitReader<'a> {
+        bytes: &'a [u8],
+        bit_pos: usize,
+    }
+
+    impl BitReader<'_> {
+        fn read(&mut self, bits: u32) -> Option<u32> {
+            if self.bit_pos + bits as usize > self.bytes.len() * 8 {
+                return None;
+            }
+            let mut value = 0u32;
+            for i in 0..bits {
+                let byte = self.bytes[self.bit_pos / 8];
+                let bit = (byte >> (self.bit_pos % 8)) & 1;
+                value |= u32::from(bit) << i;
+                self.bit_pos += 1;
+            }
+            Some(value)
+        }
+
+        fn remaining_bits(&self) -> usize {
+            self.bytes.len() * 8 - self.bit_pos
+        }
+    }
+
+    pub fn compress(input: &[u8]) -> Vec<u8> {
+        let mut writer = BitWriter {
+            bytes: Vec::new(),
+            bit_pos: 0,
+        };
+        if input.is_empty() {
+            return writer.bytes;
+        }
+        let mut dict: HashMap<(u32, u8), u32> = HashMap::new();
+        let mut next_code = FIRST_CODE;
+        let mut code_bits = 9u32;
+        let mut current = u32::from(input[0]);
+        for &byte in &input[1..] {
+            match dict.get(&(current, byte)) {
+                Some(&code) => current = code,
+                None => {
+                    writer.write(current, code_bits);
+                    dict.insert((current, byte), next_code);
+                    next_code += 1;
+                    if next_code > (1 << code_bits) && code_bits < MAX_CODE_BITS {
+                        code_bits += 1;
+                    }
+                    if next_code == (1 << MAX_CODE_BITS) {
+                        writer.write(CLEAR_CODE, code_bits);
+                        dict.clear();
+                        next_code = FIRST_CODE;
+                        code_bits = 9;
+                    }
+                    current = u32::from(byte);
+                }
+            }
+        }
+        writer.write(current, code_bits);
+        writer.bytes
+    }
+
+    pub fn decompress_bounded(input: &[u8], max_output: usize) -> Result<Vec<u8>, LzwError> {
+        let mut reader = BitReader {
+            bytes: input,
+            bit_pos: 0,
+        };
+        let mut output = Vec::new();
+        if input.is_empty() {
+            return Ok(output);
+        }
+        const NONE: u32 = u32::MAX;
+        let mut dict: Vec<(u32, u8)> = Vec::new();
+        let mut code_bits = 9u32;
+        let mut prev: Option<u32> = None;
+
+        let first_byte_of = |dict: &[(u32, u8)], mut code: u32| -> Result<u8, LzwError> {
+            loop {
+                if code < 256 {
+                    return Ok(code as u8);
+                }
+                let idx = (code - FIRST_CODE) as usize;
+                let &(prefix, _) = dict.get(idx).ok_or(LzwError::BadCode(code))?;
+                if prefix == NONE {
+                    return Err(LzwError::BadCode(code));
+                }
+                code = prefix;
+            }
+        };
+        let expand =
+            |dict: &[(u32, u8)], mut code: u32, out: &mut Vec<u8>| -> Result<(), LzwError> {
+                let start = out.len();
+                loop {
+                    if code < 256 {
+                        out.push(code as u8);
+                        break;
+                    }
+                    let idx = (code - FIRST_CODE) as usize;
+                    let &(prefix, byte) = dict.get(idx).ok_or(LzwError::BadCode(code))?;
+                    out.push(byte);
+                    if prefix == NONE {
+                        return Err(LzwError::BadCode(code));
+                    }
+                    code = prefix;
+                }
+                out[start..].reverse();
+                Ok(())
+            };
+
+        loop {
+            if reader.remaining_bits() < code_bits as usize {
+                return Ok(output);
+            }
+            let code = reader.read(code_bits).ok_or(LzwError::Truncated)?;
+            if code == CLEAR_CODE {
+                dict.clear();
+                code_bits = 9;
+                prev = None;
+                continue;
+            }
+            let next_code = FIRST_CODE + dict.len() as u32;
+            match prev {
+                None => {
+                    if code >= 256 {
+                        return Err(LzwError::BadCode(code));
+                    }
+                    output.push(code as u8);
+                }
+                Some(p) => {
+                    if code < next_code {
+                        let first = first_byte_of(&dict, code)?;
+                        expand(&dict, code, &mut output)?;
+                        dict.push((p, first));
+                    } else if code == next_code {
+                        let first = first_byte_of(&dict, p)?;
+                        dict.push((p, first));
+                        expand(&dict, code, &mut output)?;
+                    } else {
+                        return Err(LzwError::BadCode(code));
+                    }
+                    let defined = FIRST_CODE + dict.len() as u32;
+                    if defined + 1 > (1 << code_bits) && code_bits < MAX_CODE_BITS {
+                        code_bits += 1;
+                    }
+                }
+            }
+            if output.len() > max_output {
+                return Err(LzwError::OutputLimit(max_output));
+            }
+            prev = Some(code);
+        }
+    }
+}
+
+/// A seeded LCG byte stream keeping the top `bits` bits of each step:
+/// 8 gives near-random bytes, which fill the dictionary after ~10^5
+/// bytes; fewer bits give lower-entropy streams that fill it later.
+fn lcg_bytes(seed: u32, len: usize, bits: u32) -> Vec<u8> {
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            (x >> (32 - bits)) as u8
+        })
+        .collect()
+}
+
+/// Asserts that both decoders give the same result for `stream` under
+/// each of a few caps around `hint` (for a valid stream, its decoded
+/// length).
+fn assert_decodes_like_reference(stream: &[u8], hint: usize) {
+    for cap in [0, hint.saturating_sub(1), hint, lzw::DEFAULT_MAX_OUTPUT] {
+        assert_eq!(
+            lzw::decompress_bounded(stream, cap),
+            reference::decompress_bounded(stream, cap),
+            "stream of {} bytes, cap {cap}",
+            stream.len()
+        );
+    }
+}
+
+#[test]
+fn lzw_matches_the_reference_across_dictionary_resets() {
+    // Four resets of near-random bytes, one of a two-symbol stream and
+    // two of a four-symbol stream.
+    for (seed, len, bits) in [(1, 400_000, 8), (2, 1_200_000, 1), (3, 1_000_000, 2)] {
+        let data = lcg_bytes(seed, len, bits);
+        let c = lzw::compress(&data);
+        assert_eq!(c, reference::compress(&data), "seed={seed} bits={bits}");
+        assert_decodes_like_reference(&c, data.len());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -113,11 +341,56 @@ proptest! {
     }
 
     #[test]
+    fn lzw_compress_matches_the_reference(
+        data in prop::collection::vec(any::<u8>(), 0..4096),
+        alphabet in prop::collection::vec(0u8..4, 0..8192),
+    ) {
+        prop_assert_eq!(lzw::compress(&data), reference::compress(&data));
+        prop_assert_eq!(lzw::compress(&alphabet), reference::compress(&alphabet));
+    }
+
+    #[test]
+    fn lzw_decode_matches_the_reference_on_garbage(
+        garbage in prop::collection::vec(any::<u8>(), 0..512),
+        cap in 0usize..4096,
+    ) {
+        assert_decodes_like_reference(&garbage, cap);
+    }
+
+    #[test]
     fn lzw_decompress_of_garbage_never_panics(
         garbage in prop::collection::vec(any::<u8>(), 0..512),
     ) {
         // Any outcome is fine; crashing or unbounded growth is not.
         let _ = lzw::decompress_bounded(&garbage, 1 << 16);
+    }
+}
+
+proptest! {
+    // Each case compresses or decodes many times over with the
+    // bit-at-a-time reference, so fewer cases.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn lzw_long_inputs_match_the_reference(
+        seed in any::<u32>(),
+        len in 150_000usize..250_000,
+        bits in 6u32..9,
+    ) {
+        // At 64 symbols or more, streams this long cross the 16-bit
+        // dictionary reset at least once.
+        let data = lcg_bytes(seed, len, bits);
+        prop_assert_eq!(lzw::compress(&data), reference::compress(&data));
+    }
+
+    #[test]
+    fn lzw_decode_matches_the_reference_on_every_truncation(
+        data in prop::collection::vec(0u8..8, 1..512),
+    ) {
+        let c = lzw::compress(&data);
+        for cut in 0..=c.len() {
+            assert_decodes_like_reference(&c[..cut], data.len());
+        }
     }
 }
 

@@ -12,8 +12,8 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use twpp_repro::twpp::{
-    archive::encode_v2_named, compact_with_stats_threads, ArchiveWriter, CompactOptions,
-    TwppArchive,
+    archive::encode_v2_named, compact_with_stats_threads, ArchiveWriter, Codec, CompactOptions,
+    Obs, TwppArchive,
 };
 use twpp_repro::twpp_ir::FuncId;
 use twpp_repro::twpp_tracer::RawWpp;
@@ -95,6 +95,41 @@ proptest! {
             w.add_functions(&c.functions, threads).unwrap();
             let parallel = w.finish().unwrap();
             prop_assert_eq!(&parallel, &sequential, "writer diverged at {} threads", threads);
+        }
+    }
+
+    /// The pipeline compresses the DCG once and the archive encoders
+    /// write the bytes it carries. Those bytes must be exactly what
+    /// `ArchiveWriter::new` gets by compressing `c.dcg` afresh, under
+    /// both codecs and again after a `to_compacted` round trip, and the
+    /// stats must count exactly the archive's DCG region.
+    #[test]
+    fn carried_dcg_bytes_match_a_fresh_compression(
+        profile in profile_strategy(),
+        seed in 0u64..1000,
+    ) {
+        let wpp = workload_wpp(profile, seed);
+        let (c, stats) = compact_with_stats_threads(&wpp, CompactOptions::with_threads(1)).unwrap();
+        let names: HashMap<FuncId, String> = HashMap::new();
+        for codec in [Codec::Legacy, Codec::Adaptive] {
+            let mut w = ArchiveWriter::new(Vec::new(), &c.dcg, &names).unwrap().with_codec(codec);
+            w.add_functions(&c.functions, 1).unwrap();
+            let fresh = w.finish().unwrap();
+
+            let carried =
+                TwppArchive::from_compacted_codec(&c, &names, 1, &[], &Obs::noop(), codec);
+            prop_assert_eq!(carried.as_bytes(), &fresh[..], "codec {:?}", codec);
+            // The v3 header's third word is the length of the DCG region,
+            // which follows the 20-byte header.
+            let region_len = u32::from_le_bytes(fresh[8..12].try_into().unwrap()) as usize;
+            prop_assert_eq!(stats.dcg_compressed_bytes, region_len);
+            prop_assert_eq!(c.dcg_lzw(), &fresh[20..20 + region_len]);
+
+            let back = carried.to_compacted().unwrap();
+            prop_assert_eq!(&back, &c, "round trip changed the compacted form");
+            let again =
+                TwppArchive::from_compacted_codec(&back, &names, 1, &[], &Obs::noop(), codec);
+            prop_assert_eq!(again.as_bytes(), &fresh[..], "codec {:?} after round trip", codec);
         }
     }
 
